@@ -11,8 +11,9 @@
 //
 // Representation follows the SoA netlist: one append-only interned-name
 // arena (netlist::NameRef offsets into it) plus flat vectors indexed by
-// CellId/NetId/port index. The table is plain data — copyable for FlowCache
-// deep copies, serializable as wire-format v3 (flow/serialize.cpp), and
+// CellId/NetId/port index. The table is plain data — copyable, so the
+// map/dft/sta recorders extend a copy rather than the table earlier cache
+// snapshots share, serializable as wire-format v3 (flow/serialize.cpp), and
 // deliberately free of pointers into the netlist so a snapshot restore
 // cannot dangle.
 //

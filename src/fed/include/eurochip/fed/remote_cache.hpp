@@ -74,7 +74,7 @@ class RemoteCache : public flow::CacheTier {
   bool fetch(const util::Digest& key,
              std::vector<std::uint8_t>* out) override;
   void publish(const util::Digest& key,
-               const std::vector<std::uint8_t>& bytes) override;
+               std::vector<std::uint8_t> bytes) override;
 
   [[nodiscard]] bool contains(const util::Digest& key) const override;
   void clear();

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "eurochip/util/fault.hpp"
 
@@ -62,7 +63,7 @@ bool RemoteCache::fetch(const util::Digest& key,
 }
 
 void RemoteCache::publish(const util::Digest& key,
-                          const std::vector<std::uint8_t>& bytes) {
+                          std::vector<std::uint8_t> bytes) {
   // Fault site "fed.remote.publish": a status fault drops the publish —
   // fire-and-forget by contract, so the caller never notices.
   if (util::FaultInjector* fi = util::FaultInjector::installed()) {
@@ -70,7 +71,8 @@ void RemoteCache::publish(const util::Digest& key,
   }
   if (bytes.size() > options_.max_bytes) return;  // would evict everything
   charge_transfer(bytes.size());
-  auto blob = std::make_shared<const std::vector<std::uint8_t>>(bytes);
+  auto blob =
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {

@@ -90,61 +90,17 @@ std::size_t approx_bytes(const std::vector<StepRecord>& steps) {
 
 // --- Snapshot ------------------------------------------------------------
 //
-// A deep copy of FlowArtifacts with internal cross-references re-pointed at
-// the copies: mapped -> library (Netlist::rebind_library), placed ->
-// mapped, routed -> placed. `design` is deliberately NOT captured — the
-// content digest in the key already guarantees the caller's design is
+// The run's FlowArtifacts by value: copying one copies pointers to the
+// immutable heap artifacts, so store and restore never duplicate them and
+// the cross-references inside (mapped -> library, placed -> mapped,
+// routed -> placed) stay valid. `design` is deliberately NOT captured —
+// the content digest in the key already guarantees the caller's design is
 // equivalent, and holding a borrowed pointer would dangle.
 struct FlowCache::Snapshot {
-  std::unique_ptr<netlist::CellLibrary> library;
-  std::unique_ptr<synth::Aig> aig;
-  std::unique_ptr<netlist::Netlist> mapped;
-  std::unique_ptr<place::PlacedDesign> placed;
-  std::unique_ptr<cts::ClockTree> clock_tree;
-  std::unique_ptr<route::RoutedDesign> routed;
-  timing::TimingReport timing;
-  power::PowerReport power;
-  drc::DrcReport drc;
-  std::vector<std::uint8_t> gds_bytes;
-  std::unique_ptr<dbg::SymbolTable> symbols;
+  FlowArtifacts artifacts;
   std::vector<StepRecord> steps;
   std::size_t bytes = 0;
 };
-
-namespace {
-
-/// Deep-copies `src` artifacts into fresh heap objects with pointer fixups.
-/// Shared by snapshot (ctx -> snapshot) and restore (snapshot -> ctx).
-template <typename Src, typename Dst>
-void clone_artifacts(const Src& src, Dst& dst) {
-  dst.library = src.library
-                    ? std::make_unique<netlist::CellLibrary>(*src.library)
-                    : nullptr;
-  dst.aig = src.aig ? std::make_unique<synth::Aig>(*src.aig) : nullptr;
-  dst.mapped =
-      src.mapped ? std::make_unique<netlist::Netlist>(*src.mapped) : nullptr;
-  if (dst.mapped && dst.library) dst.mapped->rebind_library(dst.library.get());
-  dst.placed = src.placed
-                   ? std::make_unique<place::PlacedDesign>(*src.placed)
-                   : nullptr;
-  if (dst.placed && dst.mapped) dst.placed->netlist = dst.mapped.get();
-  dst.clock_tree = src.clock_tree
-                       ? std::make_unique<cts::ClockTree>(*src.clock_tree)
-                       : nullptr;
-  dst.routed = src.routed
-                   ? std::make_unique<route::RoutedDesign>(*src.routed)
-                   : nullptr;
-  if (dst.routed && dst.placed) dst.routed->placed = dst.placed.get();
-  dst.timing = src.timing;
-  dst.power = src.power;
-  dst.drc = src.drc;
-  dst.gds_bytes = src.gds_bytes;
-  dst.symbols = src.symbols
-                    ? std::make_unique<dbg::SymbolTable>(*src.symbols)
-                    : nullptr;
-}
-
-}  // namespace
 
 FlowCache::FlowCache() : FlowCache(Options{}) {}
 
@@ -155,24 +111,29 @@ FlowCache::~FlowCache() = default;
 std::shared_ptr<const FlowCache::Snapshot> FlowCache::snapshot_of(
     const FlowContext& ctx) {
   auto snap = std::make_shared<Snapshot>();
-  clone_artifacts(ctx.artifacts, *snap);
+  snap->artifacts = ctx.artifacts;
+  snap->artifacts.design = nullptr;
   snap->steps = ctx.steps;
-  std::size_t bytes = sizeof(Snapshot) + snap->gds_bytes.size() +
-                      approx_bytes(snap->steps) + approx_bytes(snap->timing) +
-                      approx_bytes(snap->drc);
-  if (snap->library) bytes += approx_bytes(*snap->library);
-  if (snap->aig) bytes += approx_bytes(*snap->aig);
-  if (snap->mapped) bytes += approx_bytes(*snap->mapped);
-  if (snap->placed) bytes += approx_bytes(*snap->placed);
-  if (snap->clock_tree) bytes += approx_bytes(*snap->clock_tree);
-  if (snap->routed) bytes += approx_bytes(*snap->routed);
-  if (snap->symbols) bytes += snap->symbols->memory_bytes();
+  // Charged for every artifact it references, shared or not.
+  const FlowArtifacts& a = snap->artifacts;
+  std::size_t bytes = sizeof(Snapshot) + a.gds_bytes.size() +
+                      approx_bytes(snap->steps) + approx_bytes(a.timing) +
+                      approx_bytes(a.drc);
+  if (a.library) bytes += approx_bytes(*a.library);
+  if (a.aig) bytes += approx_bytes(*a.aig);
+  if (a.mapped) bytes += approx_bytes(*a.mapped);
+  if (a.placed) bytes += approx_bytes(*a.placed);
+  if (a.clock_tree) bytes += approx_bytes(*a.clock_tree);
+  if (a.routed) bytes += approx_bytes(*a.routed);
+  if (a.symbols) bytes += a.symbols->memory_bytes();
   snap->bytes = bytes;
   return snap;
 }
 
 void FlowCache::restore(const Snapshot& snap, FlowContext& ctx) {
-  clone_artifacts(snap, ctx.artifacts);
+  const rtl::Module* design = ctx.artifacts.design;
+  ctx.artifacts = snap.artifacts;
+  ctx.artifacts.design = design;
   ctx.steps = snap.steps;
   for (StepRecord& rec : ctx.steps) rec.cached = true;
 }
@@ -230,28 +191,24 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
     }
     // Re-admit locally so the next lookup skips the network. admit_local
     // does not publish back — the tier just served these bytes.
-    std::shared_ptr<const Snapshot> fetched = snapshot_of(tmp);
+    snap = snapshot_of(tmp);
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++remote_hits_;
     }
     if (span.active()) {
       span.annotate("hit", std::string("remote"));
-      span.annotate("bytes", static_cast<std::uint64_t>(fetched->bytes));
+      span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
     }
-    const rtl::Module* design = ctx.artifacts.design;
-    ctx.artifacts = std::move(tmp.artifacts);
-    ctx.artifacts.design = design;
-    ctx.steps = std::move(tmp.steps);
-    for (StepRecord& rec : ctx.steps) rec.cached = true;
-    admit_local(key, std::move(fetched));
+    restore(*snap, ctx);
+    admit_local(key, std::move(snap));
     return true;
   }
   if (span.active()) {
     span.annotate("hit", true);
     span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
   }
-  // Deep copy outside the lock; `snap` keeps the entry alive even if a
+  // Restore outside the lock; `snap` keeps the entry alive even if a
   // concurrent store evicts it.
   restore(*snap, ctx);
   return true;
@@ -277,8 +234,8 @@ void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
       return;
     }
   }
-  // Snapshot outside the lock (it is the expensive part). A racing store
-  // of the same key is resolved in admit_local: first writer wins.
+  // Snapshot outside the lock. A racing store of the same key is resolved
+  // in admit_local: first writer wins.
   std::shared_ptr<const Snapshot> snap = snapshot_of(ctx);
   if (span.active()) {
     span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));

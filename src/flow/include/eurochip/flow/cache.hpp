@@ -11,18 +11,24 @@
 //   key_i   = H(key_{i-1}, step name, stage-relevant FlowConfig knobs)
 //
 // and consults the cache deepest-prefix-first: a hit restores the cached
-// FlowContext snapshot (a deep copy — artifacts never alias across jobs)
-// and execution resumes at the first stale step. After each completed step
-// the post-step snapshot is stored under that step's key.
+// FlowContext snapshot and execution resumes at the first stale step.
+// After each completed step the post-step snapshot is stored under that
+// step's key.
+//
+// Artifacts are immutable once published (see FlowArtifacts), so a
+// snapshot holds the run's artifact pointers: store and restore copy
+// pointers, and shared ownership keeps a result valid past eviction.
 //
 // Thread-safety: all public methods are safe from any thread. One mutex
 // guards the index/LRU list; snapshots are immutable once stored
-// (shared_ptr<const Snapshot>), so the deep copy out of the cache happens
-// outside the lock and eviction during a concurrent restore is harmless.
+// (shared_ptr<const Snapshot>), so restores happen outside the lock and
+// eviction during a concurrent restore is harmless.
 //
 // Eviction: strict LRU over an approximate byte budget (Options::max_bytes,
-// sized via approx_bytes estimates of the artifact containers). A snapshot
-// larger than the whole budget is not admitted. Keys are 128-bit content
+// sized via approx_bytes estimates of the artifact containers). Each
+// snapshot is charged for every artifact it references, shared or not, so
+// Stats::bytes bounds resident memory from above. A snapshot larger than
+// the whole budget is not admitted. Keys are 128-bit content
 // digests (util::Digest); collisions are cache-poisoning, not correctness
 // hazards the design accepts silently — at 128 bits they are negligible.
 #pragma once
@@ -55,8 +61,9 @@ class CacheTier {
                      std::vector<std::uint8_t>* out) = 0;
 
   /// Offers `bytes` for storage under `key`. May be dropped silently.
+  /// Taken by value so a freshly serialized snapshot moves into storage.
   virtual void publish(const util::Digest& key,
-                       const std::vector<std::uint8_t>& bytes) = 0;
+                       std::vector<std::uint8_t> bytes) = 0;
 
   /// True if `key` is resident, without fetching (no side effects). The
   /// default says no — a tier that cannot answer cheaply just makes
@@ -89,7 +96,7 @@ class FlowCache {
     std::uint64_t evictions = 0;   ///< entries dropped for the byte budget
     std::uint64_t remote_hits = 0;    ///< misses rescued by second_level
     std::uint64_t remote_errors = 0;  ///< tier bytes that failed to decode
-    std::size_t bytes = 0;         ///< current resident estimate
+    std::size_t bytes = 0;         ///< resident estimate (upper bound)
     std::size_t entries = 0;       ///< current entry count
   };
 
@@ -100,13 +107,13 @@ class FlowCache {
   FlowCache(const FlowCache&) = delete;
   FlowCache& operator=(const FlowCache&) = delete;
 
-  /// On hit, deep-copies the stored snapshot into `ctx` (artifacts + step
-  /// records; `ctx.artifacts.design` is left untouched) and returns true.
-  /// On miss returns false and leaves `ctx` unchanged.
+  /// On hit, points `ctx` at the stored snapshot's artifacts and copies its
+  /// step records (`ctx.artifacts.design` is left untouched), then returns
+  /// true. On miss returns false and leaves `ctx` unchanged.
   bool lookup(const util::Digest& key, FlowContext& ctx);
 
-  /// Admits a deep-copied snapshot of `ctx` under `key`. No-op (LRU touch
-  /// only) if the key is already present; no-op if the snapshot alone
+  /// Admits a snapshot sharing `ctx`'s artifacts under `key`. No-op (LRU
+  /// touch only) if the key is already present; no-op if the snapshot alone
   /// exceeds the byte budget.
   void store(const util::Digest& key, const FlowContext& ctx);
 

@@ -26,9 +26,9 @@
 //     while another thread is executing it.
 // A FlowCache (FlowConfig::cache) MAY be shared by any number of
 // concurrent execute() calls: the cache is internally synchronized, and
-// both store and lookup deep-copy the artifacts, so no mutable artifact
-// state is ever aliased between runs or between a run and the cache — see
-// cache.hpp. The only process-wide mutable state in the stack is util's
+// store and lookup share the artifacts by pointer: they are immutable once
+// published (see FlowArtifacts) and live while anything references them —
+// see cache.hpp. The only process-wide mutable state in the stack is util's
 // log threshold, which is atomic, and the shared util::ThreadPool, whose
 // scheduling never leaks into results. eurochip::hub::JobServer relies on
 // this contract to run flows on a worker pool that shares one FlowCache.
@@ -151,25 +151,27 @@ struct StepRecord {
   bool cached = false;
 };
 
-/// All intermediate artifacts, individually heap-held so cross-references
-/// (netlist -> library, placed -> netlist, ...) survive moves.
+/// All intermediate artifacts. Heap artifacts are immutable once their step
+/// publishes them, and shared by a run, its FlowResult and its cache
+/// snapshots; a step that changes one copies it first. Cross-references
+/// (netlist -> library, placed -> netlist, ...) stay within one set.
 struct FlowArtifacts {
   const rtl::Module* design = nullptr;
-  std::unique_ptr<netlist::CellLibrary> library;
-  std::unique_ptr<synth::Aig> aig;
-  std::unique_ptr<netlist::Netlist> mapped;
-  std::unique_ptr<place::PlacedDesign> placed;
-  std::unique_ptr<cts::ClockTree> clock_tree;  ///< null for comb designs
-  std::unique_ptr<route::RoutedDesign> routed;
+  std::shared_ptr<const netlist::CellLibrary> library;
+  std::shared_ptr<const synth::Aig> aig;
+  std::shared_ptr<const netlist::Netlist> mapped;
+  std::shared_ptr<const place::PlacedDesign> placed;
+  std::shared_ptr<const cts::ClockTree> clock_tree;  ///< null for comb designs
+  std::shared_ptr<const route::RoutedDesign> routed;
   timing::TimingReport timing;
   power::PowerReport power;
   drc::DrcReport drc;
   std::vector<std::uint8_t> gds_bytes;
   /// Cross-stage symbol provenance (dbg). Created by the elaborate step and
-  /// extended by map/dft/sta; an overlay that never feeds back into any
-  /// artifact or the artifact digest, so runs are bit-identical with or
-  /// without consumers. Carried in cache snapshots (serialize v3).
-  std::unique_ptr<dbg::SymbolTable> symbols;
+  /// extended (on a copy) by map/dft/sta; an overlay that never feeds back
+  /// into any artifact or the artifact digest, so runs are bit-identical
+  /// with or without consumers. Carried in cache snapshots (serialize v3).
+  std::shared_ptr<const dbg::SymbolTable> symbols;
 };
 
 struct FlowResult {

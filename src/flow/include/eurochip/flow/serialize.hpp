@@ -1,14 +1,14 @@
 // Wire-format (de)serialization of flow artifacts — the exchange format
 // the federated second-level cache (fed::RemoteCache) stores snapshots in.
 //
-// Where FlowCache snapshots are in-memory deep copies, a federated hub
+// Where FlowCache snapshots share in-memory artifacts, a federated hub
 // needs artifacts as bytes: serialize_snapshot() flattens a FlowContext's
 // artifacts + step records into a self-contained little-endian stream
 // (util::WireWriter) with a magic/version header and a util::Digest
 // trailer over the payload; deserialize_snapshot() verifies the trailer,
-// reassembles every artifact on the heap, and rewires the cross-references
-// (mapped -> library, placed -> mapped, routed -> placed) exactly like
-// FlowCache::restore does.
+// publishes every artifact as a fresh shared_ptr<const T>, and points the
+// cross-references (mapped -> library, placed -> mapped, routed -> placed)
+// inside that set, the same shape a run's own FlowArtifacts have.
 //
 // Determinism contract: serializing equal artifacts yields equal bytes,
 // and a deserialized artifact is indistinguishable from the original to

@@ -838,39 +838,44 @@ util::Status deserialize_snapshot(const std::vector<std::uint8_t>& bytes,
   if (r.boolean()) {
     auto lib = deserialize_library(r);
     if (!lib.ok()) return lib.status();
-    a.library = std::make_unique<netlist::CellLibrary>(std::move(*lib));
+    a.library =
+        std::make_shared<const netlist::CellLibrary>(std::move(*lib));
   }
   if (r.boolean()) {
     auto aig = deserialize_aig(r);
     if (!aig.ok()) return aig.status();
-    a.aig = std::make_unique<synth::Aig>(std::move(*aig));
+    a.aig = std::make_shared<const synth::Aig>(std::move(*aig));
   }
   if (r.boolean()) {
     auto nl = deserialize_netlist(r, a.library.get());
     if (!nl.ok()) return nl.status();
-    a.mapped = std::make_unique<netlist::Netlist>(std::move(*nl));
+    a.mapped = std::make_shared<const netlist::Netlist>(std::move(*nl));
   }
   if (r.boolean()) {
     if (!a.mapped) return bad("placement without netlist");
     auto placed = deserialize_placed(r, a.mapped.get());
     if (!placed.ok()) return placed.status();
-    a.placed = std::make_unique<place::PlacedDesign>(std::move(*placed));
+    a.placed =
+        std::make_shared<const place::PlacedDesign>(std::move(*placed));
   }
   if (r.boolean()) {
     auto tree = deserialize_clock_tree(r);
     if (!tree.ok()) return tree.status();
-    a.clock_tree = std::make_unique<cts::ClockTree>(std::move(*tree));
+    a.clock_tree =
+        std::make_shared<const cts::ClockTree>(std::move(*tree));
   }
   if (r.boolean()) {
     if (!a.placed) return bad("routing without placement");
     auto routed = deserialize_routed(r, a.placed.get());
     if (!routed.ok()) return routed.status();
-    a.routed = std::make_unique<route::RoutedDesign>(std::move(*routed));
+    a.routed =
+        std::make_shared<const route::RoutedDesign>(std::move(*routed));
   }
   if (r.boolean()) {
     auto sym = deserialize_symbols(r);
     if (!sym.ok()) return sym.status();
-    a.symbols = std::make_unique<dbg::SymbolTable>(std::move(*sym));
+    a.symbols =
+        std::make_shared<const dbg::SymbolTable>(std::move(*sym));
   }
   auto timing = deserialize_timing(r);
   if (!timing.ok()) return timing.status();

@@ -10,11 +10,13 @@
 #include "eurochip/flow/cache.hpp"
 #include "eurochip/flow/fingerprint.hpp"
 #include "eurochip/flow/flow.hpp"
+#include "eurochip/flow/serialize.hpp"
 #include "eurochip/hub/job.hpp"
 #include "eurochip/hub/server.hpp"
 #include "eurochip/pdk/registry.hpp"
 #include "eurochip/rtl/designs.hpp"
 #include "eurochip/util/digest.hpp"
+#include "eurochip/util/wire.hpp"
 
 namespace eurochip {
 namespace {
@@ -34,6 +36,11 @@ TEST(DigestTest, HasherIsDeterministic) {
   a.str("hello").u64(42).f64(1.5).boolean(true);
   b.str("hello").u64(42).f64(1.5).boolean(true);
   EXPECT_EQ(a.finalize().hex(), b.finalize().hex());
+}
+
+TEST(DigestTest, HexSpellsHiThenLoMostSignificantNibbleFirst) {
+  const util::Digest d{0x0123456789abcdefuLL, 0xfedcba9876543210uLL};
+  EXPECT_EQ(d.hex(), "0123456789abcdeffedcba9876543210");
 }
 
 TEST(DigestTest, DifferentInputsDiffer) {
@@ -175,7 +182,7 @@ TEST(FlowCacheTest, CustomStepBreaksKeyChain) {
   EXPECT_EQ(warm->cache_hits, 2u);
 }
 
-TEST(FlowCacheTest, RestoredArtifactsAreRebasedDeepCopies) {
+TEST(FlowCacheTest, RestoredArtifactsAreSharedWithTheColdRun) {
   flow::FlowCache cache;
   const auto m = rtl::designs::counter(8);
   auto cfg = base_config();
@@ -189,13 +196,128 @@ TEST(FlowCacheTest, RestoredArtifactsAreRebasedDeepCopies) {
   ASSERT_NE(a.mapped, nullptr);
   ASSERT_NE(a.placed, nullptr);
   ASSERT_NE(a.routed, nullptr);
-  // No aliasing into the cold run's artifacts...
-  EXPECT_NE(a.mapped.get(), cold->artifacts.mapped.get());
-  EXPECT_NE(a.placed.get(), cold->artifacts.placed.get());
-  // ...and internal cross-references point inside this copy.
+  // Immutable artifacts are shared, not copied, across the cache...
+  EXPECT_EQ(a.mapped.get(), cold->artifacts.mapped.get());
+  EXPECT_EQ(a.placed.get(), cold->artifacts.placed.get());
+  EXPECT_EQ(a.routed.get(), cold->artifacts.routed.get());
+  // ...and internal cross-references point inside the same set.
   EXPECT_EQ(&a.mapped->library(), a.library.get());
   EXPECT_EQ(a.placed->netlist, a.mapped.get());
   EXPECT_EQ(a.routed->placed, a.placed.get());
+}
+
+// --- copy before change ---------------------------------------------------
+//
+// Steps that change an earlier artifact (synth: the AIG; dft: the mapped
+// netlist; map/dft/sta: the symbol overlay) must publish a changed copy,
+// never write through the pointer they share with earlier snapshots. Run A
+// fills the cache, run B resumes from A's snapshots and re-runs a changing
+// step with a different knob, and then every one of A's snapshots is
+// restored into a template cut after its step and compared with the same
+// cut template run without a cache.
+
+/// reference_template() cut after its first `n` steps. Step names and
+/// fingerprints are kept, so its keys are a prefix of the full chain.
+flow::FlowTemplate reference_prefix(std::size_t n) {
+  const flow::FlowTemplate full = flow::reference_template();
+  flow::FlowTemplate t(full.name());
+  for (std::size_t i = 0; i < n; ++i) t.add_step(full.steps()[i]);
+  return t;
+}
+
+template <typename T>
+std::vector<std::uint8_t> wire_bytes(const T& artifact) {
+  util::WireWriter w;
+  flow::serialize(w, artifact);
+  return w.take();
+}
+
+void expect_same_artifacts(const flow::FlowArtifacts& got,
+                           const flow::FlowArtifacts& want,
+                           const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(got.aig != nullptr, want.aig != nullptr);
+  ASSERT_EQ(got.mapped != nullptr, want.mapped != nullptr);
+  ASSERT_EQ(got.placed != nullptr, want.placed != nullptr);
+  ASSERT_EQ(got.routed != nullptr, want.routed != nullptr);
+  ASSERT_EQ(got.symbols != nullptr, want.symbols != nullptr);
+  if (want.aig) EXPECT_EQ(wire_bytes(*got.aig), wire_bytes(*want.aig));
+  if (want.mapped) {
+    EXPECT_EQ(flow::digest_of(*got.mapped), flow::digest_of(*want.mapped));
+  }
+  if (want.placed) {
+    EXPECT_EQ(flow::digest_of(*got.placed), flow::digest_of(*want.placed));
+  }
+  if (want.routed) {
+    EXPECT_EQ(flow::digest_of(*got.routed), flow::digest_of(*want.routed));
+  }
+  if (want.symbols) {
+    EXPECT_EQ(wire_bytes(*got.symbols), wire_bytes(*want.symbols));
+  }
+}
+
+/// Runs A, then each of `b_configs` (B) on one cache, then checks that
+/// every one of A's snapshots still restores to exactly what a cache-less
+/// run of the same prefix produces (C).
+void expect_snapshots_survive_reruns(
+    const rtl::Module& m, const flow::FlowConfig& a_config,
+    const std::vector<flow::FlowConfig>& b_configs) {
+  flow::FlowCache cache;
+  flow::FlowConfig a = a_config;
+  a.cache = &cache;
+  ASSERT_TRUE(flow::run_reference_flow(m, a).ok());
+  for (flow::FlowConfig b : b_configs) {
+    b.cache = &cache;
+    const auto rb = flow::run_reference_flow(m, b);
+    ASSERT_TRUE(rb.ok()) << rb.status().to_string();
+    ASSERT_GT(rb->cache_hits, 0u);
+    ASSERT_LT(rb->cache_hits, rb->steps.size());
+  }
+  const std::size_t n = flow::reference_template().steps().size();
+  for (std::size_t k = 1; k <= n; ++k) {
+    const flow::FlowTemplate prefix = reference_prefix(k);
+    const auto c = prefix.execute(m, a);
+    ASSERT_TRUE(c.ok()) << c.status().to_string();
+    ASSERT_EQ(c->cache_hits, k);
+    flow::FlowConfig uncached = a;
+    uncached.cache = nullptr;
+    const auto fresh = prefix.execute(m, uncached);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+    expect_same_artifacts(c->artifacts, fresh->artifacts,
+                          "snapshot after " + prefix.steps().back().name);
+  }
+}
+
+TEST(FlowCacheTest, SynthRerunLeavesSharedAigUntouched) {
+  const auto m = rtl::designs::counter(8);
+  auto b = base_config();
+  b.synth_iterations = 4;
+  expect_snapshots_survive_reruns(m, base_config(), {b});
+}
+
+TEST(FlowCacheTest, ScanInsertionLeavesSharedNetlistUntouched) {
+  const auto m = rtl::designs::counter(8);
+  auto b = base_config();
+  b.insert_scan = true;
+  const auto scanned = flow::run_reference_flow(m, b);
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_FALSE(scanned->artifacts.mapped->sequential_cells().empty());
+  expect_snapshots_survive_reruns(m, base_config(), {b});
+}
+
+TEST(FlowCacheTest, SymbolRecordersLeaveSharedTableUntouched) {
+  const auto m = rtl::designs::counter(8);
+  const auto a = base_config();
+  const flow::EffortKnobs k = flow::knobs_for(a.quality, a.seed, a.utilization);
+  auto remap = a;  // re-runs map (and dft, sta) over the synth snapshot
+  remap.map_options = k.map_options;
+  remap.map_options->objective = synth::MapObjective::kDelay;
+  auto rescan = a;  // re-runs dft (and sta) over the map snapshot
+  rescan.insert_scan = true;
+  auto reroute = a;  // re-runs sta over the cts snapshot
+  reroute.route_options = k.route_options;
+  reroute.route_options->max_ripup_iterations += 2;
+  expect_snapshots_survive_reruns(m, a, {remap, rescan, reroute});
 }
 
 // --- direct cache mechanics ---------------------------------------------
@@ -277,6 +399,55 @@ TEST(FlowCacheTest, ClearResetsResidency) {
   EXPECT_FALSE(cache.contains(key_of(1)));
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes, 0u);
+}
+
+// --- lifetime -------------------------------------------------------------
+
+TEST(FlowCacheTest, WarmResultOutlivesEveryCacheEntry) {
+  flow::FlowCache::Options opt;
+  opt.max_bytes = 4u << 20;
+  flow::FlowCache cache(opt);
+  const auto m = rtl::designs::counter(8);
+  auto cfg = base_config();
+  cfg.cache = &cache;
+  ASSERT_TRUE(flow::run_reference_flow(m, cfg).ok());
+  const auto warm = flow::run_reference_flow(m, cfg);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm->cache_hits, warm->steps.size());
+  const flow::FlowArtifacts& a = warm->artifacts;
+  ASSERT_NE(a.mapped, nullptr);
+  ASSERT_NE(a.placed, nullptr);
+  ASSERT_NE(a.routed, nullptr);
+  const util::Digest mapped = flow::digest_of(*a.mapped);
+  const util::Digest placed = flow::digest_of(*a.placed);
+  const util::Digest routed = flow::digest_of(*a.routed);
+  const std::string report = flow::render_report(*warm, cfg);
+
+  // Evict every snapshot of the run by flooding the LRU, then clear.
+  std::vector<util::Digest> keys;
+  std::vector<bool> keyable;
+  flow::reference_template().step_keys(m, cfg, &keys, &keyable);
+  const auto any_resident = [&] {
+    for (const util::Digest& key : keys) {
+      if (cache.contains(key)) return true;
+    }
+    return false;
+  };
+  for (std::uint64_t i = 0; any_resident(); ++i) {
+    ASSERT_LT(i, 1000u);
+    cache.store(key_of(i), synthetic_ctx(64));
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  cache.clear();
+  ASSERT_EQ(cache.stats().entries, 0u);
+
+  EXPECT_EQ(flow::digest_of(*a.mapped), mapped);
+  EXPECT_EQ(flow::digest_of(*a.placed), placed);
+  EXPECT_EQ(flow::digest_of(*a.routed), routed);
+  EXPECT_EQ(flow::render_report(*warm, cfg), report);
+  EXPECT_EQ(&a.mapped->library(), a.library.get());
+  EXPECT_EQ(a.placed->netlist, a.mapped.get());
+  EXPECT_EQ(a.routed->placed, a.placed.get());
 }
 
 // --- concurrency (primary TSan target) ----------------------------------
