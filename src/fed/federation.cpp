@@ -233,10 +233,16 @@ void FederatedService::on_hub_terminal(std::size_t hub_index,
   const FedJobId id = rit->second;
   rmap.erase(rit);
   const auto jit = jobs_.find(id);
-  if (jit != jobs_.end()) {
-    jit->second.final_record = std::make_shared<hub::JobRecord>(record);
-    settle_locked(jit->second);
+  if (jit == jobs_.end()) return;
+  JobRef& ref = jit->second;
+  // A waiter that saw this terminal record first already settled the job
+  // (see wait_for); this is the same settlement arriving second.
+  if (ref.settled_by_waiter) {
+    ref.settled_by_waiter = false;
+    return;
   }
+  ref.final_record = std::make_shared<hub::JobRecord>(record);
+  settle_locked(ref);
 }
 
 void FederatedService::settle_locked(JobRef& ref) {
@@ -346,6 +352,14 @@ util::Result<hub::JobRecord> FederatedService::wait_for(FedJobId id,
           record->state != hub::JobState::kMigrated &&
           (ref.settled ||
            (!crashed_[home] && fenced_.count({home, local}) == 0))) {
+        if (!ref.settled) {
+          // The hub's terminal callback has not run yet. Settle now, so a
+          // caller that saw the job finish also sees it counted; the
+          // callback then finds the job settled by us and stops.
+          ref.final_record = std::make_shared<hub::JobRecord>(*record);
+          ref.settled_by_waiter = true;
+          settle_locked(ref);
+        }
         hub::JobRecord out = std::move(*record);
         out.queue_wait_ms += ref.prior_wait_ms;
         merge_fed_story_locked(out, ref);

@@ -257,6 +257,9 @@ class FederatedService {
     double prior_wait_ms = 0.0;   ///< queue time consumed on previous hubs
     bool charged_commercial = false;
     bool settled = false;         ///< quota released / completion counted
+    /// Settled by wait_for before the hub's terminal callback ran; that
+    /// callback is then expected once more and must not settle again.
+    bool settled_by_waiter = false;
     bool cancel_requested = false;
     /// Set when no hub holds the job any more (failed re-admission after a
     /// steal or failover): the federation-authored terminal record.

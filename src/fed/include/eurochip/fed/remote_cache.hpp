@@ -1,11 +1,15 @@
 // RemoteCache: the federation's shared second-level snapshot store.
 //
-// Implements flow::CacheTier over an in-process LRU of serialized snapshot
-// blobs (flow::serialize_snapshot bytes), standing in for the remote
-// artifact service a multi-site federation would deploy. Because it stores
-// *bytes*, every fetch pays the full serialize/deserialize round trip the
-// real network path would — a hub can never accidentally alias another
-// hub's in-memory artifacts through it.
+// Implements flow::CacheTier over an in-process LRU of per-step blobs
+// (flow::serialize_blob bytes), standing in for the remote artifact
+// service a multi-site federation would deploy. Each blob holds what one
+// flow step added plus its parent step's key, so a state is a chain of
+// blobs; the store itself is chain-agnostic — it keys, budgets and evicts
+// blobs one by one, and an evicted middle link just makes every state
+// above it miss. Because it stores *bytes*, every fetch pays the full
+// serialize/deserialize round trip the real network path would — a hub
+// can never accidentally alias another hub's in-memory artifacts through
+// it.
 //
 // Network-cost model: each fetch/publish is charged
 //     cost_ms = latency_ms + bytes / (1000 * bandwidth_mb_per_s)
@@ -13,13 +17,14 @@
 // Options::sleep_on_transfer is set, actually slept — for benches that
 // want wall-clock realism). The model is deliberately simple: the point
 // is to make L2 hits visibly non-free relative to L1 hits, not to model
-// TCP.
+// TCP. Restoring a state fetches each link of its chain, so it pays the
+// latency floor once per link, while each publish ships one step's delta.
 //
 // Fault sites (chaos testing, see util::FaultInjector):
 //   * "fed.remote.fetch"   — a status fault degrades the fetch to a miss;
 //   * "fed.remote.publish" — a status fault drops the publish;
 //   * "fed.remote.corrupt" — a status fault flips a byte in the fetched
-//     copy, exercising the reader's digest-trailer rejection end to end.
+//     copy, exercising the reader's checksum-trailer rejection end to end.
 //
 // Thread-safety: all methods safe from any thread; one mutex guards the
 // index/LRU. Blobs are shared_ptr<const ...>, so a fetch copies out of a

@@ -1,5 +1,7 @@
 #include "eurochip/flow/cache.hpp"
 
+#include <algorithm>
+
 #include "eurochip/flow/serialize.hpp"
 #include "eurochip/util/fault.hpp"
 #include "eurochip/util/trace.hpp"
@@ -109,11 +111,11 @@ FlowCache::FlowCache(Options options) : options_(options) {}
 FlowCache::~FlowCache() = default;
 
 std::shared_ptr<const FlowCache::Snapshot> FlowCache::snapshot_of(
-    const FlowContext& ctx) {
+    FlowArtifacts artifacts, std::vector<StepRecord> steps) {
   auto snap = std::make_shared<Snapshot>();
-  snap->artifacts = ctx.artifacts;
+  snap->artifacts = std::move(artifacts);
   snap->artifacts.design = nullptr;
-  snap->steps = ctx.steps;
+  snap->steps = std::move(steps);
   // Charged for every artifact it references, shared or not.
   const FlowArtifacts& a = snap->artifacts;
   std::size_t bytes = sizeof(Snapshot) + a.gds_bytes.size() +
@@ -171,27 +173,25 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
     }
   }
   if (!snap) {
-    // Second-level probe. The tier hands back serialize_snapshot() bytes;
-    // anything that fails to decode (truncation, corruption, version skew)
-    // degrades to a miss — the tier is an optimization, never trusted.
-    std::vector<std::uint8_t> bytes;
-    if (!options_.second_level->fetch(key, &bytes)) {
+    // Second-level probe: rebuild the state from the tier's blob chain.
+    // Anything missing or undecodable degrades to a miss — the tier is an
+    // optimization, never trusted.
+    std::size_t links = 0;
+    bool corrupt = false;
+    snap = fetch_chain(key, &links, &corrupt);
+    if (!snap) {
       std::lock_guard<std::mutex> lock(mu_);
+      if (corrupt) ++remote_errors_;
       ++misses_;
-      if (span.active()) span.annotate("hit", false);
+      if (span.active()) {
+        if (corrupt) {
+          span.annotate("hit", std::string("remote-error"));
+        } else {
+          span.annotate("hit", false);
+        }
+      }
       return false;
     }
-    FlowContext tmp;
-    if (!deserialize_snapshot(bytes, tmp).ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++remote_errors_;
-      ++misses_;
-      if (span.active()) span.annotate("hit", std::string("remote-error"));
-      return false;
-    }
-    // Re-admit locally so the next lookup skips the network. admit_local
-    // does not publish back — the tier just served these bytes.
-    snap = snapshot_of(tmp);
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++remote_hits_;
@@ -199,7 +199,10 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
     if (span.active()) {
       span.annotate("hit", std::string("remote"));
       span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
+      span.annotate("chain_links", static_cast<std::uint64_t>(links));
     }
+    // Re-admit locally so the next lookup skips the network. admit_local
+    // does not publish back — the tier just served these blobs.
     restore(*snap, ctx);
     admit_local(key, std::move(snap));
     return true;
@@ -214,7 +217,8 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
   return true;
 }
 
-void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
+void FlowCache::store(const util::Digest& key, const FlowContext& ctx,
+                      const std::optional<util::Digest>& parent) {
   util::trace::Span span;
   if (util::trace::enabled()) span.begin("cache.store", "flow.cache");
   // Fault site "flowcache.store": a status fault skips admission — the
@@ -236,7 +240,7 @@ void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
   }
   // Snapshot outside the lock. A racing store of the same key is resolved
   // in admit_local: first writer wins.
-  std::shared_ptr<const Snapshot> snap = snapshot_of(ctx);
+  std::shared_ptr<const Snapshot> snap = snapshot_of(ctx.artifacts, ctx.steps);
   if (span.active()) {
     span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
   }
@@ -250,10 +254,76 @@ void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
   }
   if (!over_budget) admit_local(key, std::move(snap));
   // Publish to the second-level tier even when over the local budget: the
-  // tier has its own (typically larger) budget and serves every peer.
+  // tier has its own (typically larger) budget and serves every peer. The
+  // blob is encoded against the parent's resident snapshot, so it carries
+  // only what this step added; without one it is a self-contained root.
   if (options_.second_level != nullptr) {
-    options_.second_level->publish(key, serialize_snapshot(ctx));
+    std::shared_ptr<const Snapshot> base;
+    if (parent) {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = index_.find(*parent);
+      if (it != index_.end()) base = it->second.snapshot;
+    }
+    BlobParent link;
+    if (base) link = {*parent, &base->artifacts, base->steps.size()};
+    std::vector<std::uint8_t> blob =
+        serialize_blob(ctx.artifacts, ctx.steps, base ? &link : nullptr);
+    if (span.active()) {
+      span.annotate("l2_bytes", static_cast<std::uint64_t>(blob.size()));
+    }
+    options_.second_level->publish(key, std::move(blob));
   }
+}
+
+std::shared_ptr<const FlowCache::Snapshot> FlowCache::fetch_chain(
+    const util::Digest& key, std::size_t* links, bool* corrupt) {
+  // Walk parent keys back, tip first, until a key resident in L1 or a
+  // root blob ends the chain.
+  std::vector<util::Digest> keys{key};
+  std::vector<Blob> chain;
+  std::shared_ptr<const Snapshot> base;
+  for (;;) {
+    std::vector<std::uint8_t> bytes;
+    if (!options_.second_level->fetch(keys.back(), &bytes)) return nullptr;
+    auto blob = Blob::open(std::move(bytes));
+    if (!blob.ok()) {
+      *corrupt = true;
+      return nullptr;
+    }
+    const std::optional<util::Digest> parent = blob->parent();
+    chain.push_back(std::move(*blob));
+    if (!parent) break;
+    // Keys chain by hashing their parent, so a repeat means a bad producer.
+    if (std::find(keys.begin(), keys.end(), *parent) != keys.end()) {
+      *corrupt = true;
+      return nullptr;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = index_.find(*parent);
+      if (it != index_.end()) {
+        base = it->second.snapshot;
+        break;
+      }
+    }
+    keys.push_back(*parent);
+  }
+  // Decode root-first on top of the base, whose artifacts the rebuilt
+  // state shares wherever a link does not replace them.
+  FlowArtifacts artifacts;
+  std::vector<StepRecord> steps;
+  if (base) {
+    artifacts = base->artifacts;
+    steps = base->steps;
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (!it->apply(artifacts, steps).ok()) {
+      *corrupt = true;
+      return nullptr;
+    }
+  }
+  *links = chain.size();
+  return snapshot_of(std::move(artifacts), std::move(steps));
 }
 
 void FlowCache::admit_local(const util::Digest& key,

@@ -234,7 +234,9 @@ util::Result<FlowResult> FlowTemplate::execute(const rtl::Module& design,
                           "flow step '" + step.name + "': " + s.message());
     }
     if (cache != nullptr && keyable[step_index]) {
-      cache->store(keys[step_index], ctx);
+      cache->store(keys[step_index], ctx,
+                   step_index > 0 ? std::optional(keys[step_index - 1])
+                                  : std::nullopt);
     }
     if (ctx.config.breakpoint && step.name == ctx.config.break_after) {
       ctx.config.breakpoint->park(ctx, ctx.config.cancel);

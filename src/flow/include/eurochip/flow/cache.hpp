@@ -19,6 +19,13 @@
 // snapshot holds the run's artifact pointers: store and restore copy
 // pointers, and shared ownership keeps a result valid past eviction.
 //
+// Second level: with Options::second_level set, each store also publishes
+// one blob per step (flow::serialize_blob) holding only what the step
+// added to its parent step's state, plus the parent's key. An L1 miss
+// walks those parent keys back through the tier until it reaches a key
+// resident in L1 (whose artifacts the rebuilt state then shares) or a
+// root blob, decodes the links root-first and re-admits the result.
+//
 // Thread-safety: all public methods are safe from any thread. One mutex
 // guards the index/LRU list; snapshots are immutable once stored
 // (shared_ptr<const Snapshot>), so restores happen outside the lock and
@@ -37,17 +44,20 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "eurochip/flow/flow.hpp"
 #include "eurochip/util/digest.hpp"
 
 namespace eurochip::flow {
 
-/// A second-level snapshot store behind a FlowCache — in a federation, the
+/// A second-level blob store behind a FlowCache — in a federation, the
 /// remote cache tier shared by all hubs (fed::RemoteCache). Keys are the
-/// same content digests as the L1; values are flow::serialize_snapshot()
-/// byte streams. Implementations must be safe to call from any thread.
+/// same content digests as the L1; values are flow::serialize_blob() byte
+/// streams, each one link of a step's parent chain. Implementations must
+/// be safe to call from any thread.
 ///
 /// The contract is deliberately lossy: fetch() may miss for any reason
 /// (eviction, network fault, corruption) and publish() is fire-and-forget —
@@ -61,7 +71,7 @@ class CacheTier {
                      std::vector<std::uint8_t>* out) = 0;
 
   /// Offers `bytes` for storage under `key`. May be dropped silently.
-  /// Taken by value so a freshly serialized snapshot moves into storage.
+  /// Taken by value so a freshly serialized blob moves into storage.
   virtual void publish(const util::Digest& key,
                        std::vector<std::uint8_t> bytes) = 0;
 
@@ -81,11 +91,12 @@ class FlowCache {
     /// until the estimate fits.
     std::size_t max_bytes = 256u << 20;
     /// Optional second-level tier (borrowed; must outlive the cache). On a
-    /// local miss, lookup() tries the tier and — if the fetched bytes
-    /// deserialize cleanly — re-admits the snapshot locally; store()
-    /// publishes every admitted snapshot to the tier. Bytes that fail to
-    /// deserialize (truncation, corruption, version skew) count as
-    /// remote_errors and degrade to a plain miss.
+    /// local miss, lookup() rebuilds the state from the tier's blob chain
+    /// and — if every link is present and decodes cleanly — re-admits the
+    /// snapshot locally; store() publishes each step's blob to the tier.
+    /// A missing link is a plain miss; a link that fails to decode
+    /// (truncation, corruption, version skew) counts as remote_errors and
+    /// degrades to a plain miss.
     CacheTier* second_level = nullptr;
   };
 
@@ -95,7 +106,7 @@ class FlowCache {
     std::uint64_t stores = 0;      ///< snapshots admitted
     std::uint64_t evictions = 0;   ///< entries dropped for the byte budget
     std::uint64_t remote_hits = 0;    ///< misses rescued by second_level
-    std::uint64_t remote_errors = 0;  ///< tier bytes that failed to decode
+    std::uint64_t remote_errors = 0;  ///< misses on a link that failed to decode
     std::size_t bytes = 0;         ///< resident estimate (upper bound)
     std::size_t entries = 0;       ///< current entry count
   };
@@ -114,8 +125,11 @@ class FlowCache {
 
   /// Admits a snapshot sharing `ctx`'s artifacts under `key`. No-op (LRU
   /// touch only) if the key is already present; no-op if the snapshot alone
-  /// exceeds the byte budget.
-  void store(const util::Digest& key, const FlowContext& ctx);
+  /// exceeds the byte budget. `parent` is the previous step's key: the
+  /// second-level blob then carries only what this step added to the state
+  /// stored there (if that state is still resident; else the whole state).
+  void store(const util::Digest& key, const FlowContext& ctx,
+             const std::optional<util::Digest>& parent = std::nullopt);
 
   /// True if `key` is resident (no LRU touch, no restore).
   [[nodiscard]] bool contains(const util::Digest& key) const;
@@ -133,8 +147,16 @@ class FlowCache {
  private:
   struct Snapshot;
 
-  static std::shared_ptr<const Snapshot> snapshot_of(const FlowContext& ctx);
+  static std::shared_ptr<const Snapshot> snapshot_of(
+      FlowArtifacts artifacts, std::vector<StepRecord> steps);
   static void restore(const Snapshot& snap, FlowContext& ctx);
+
+  /// Rebuilds the state under `key` from second_level's blob chain. Null
+  /// on a miss; `*corrupt` is set when a link failed to open or decode
+  /// rather than being absent. `*links` counts the blobs decoded.
+  std::shared_ptr<const Snapshot> fetch_chain(const util::Digest& key,
+                                              std::size_t* links,
+                                              bool* corrupt);
 
   /// Admits an already-built snapshot under the L1 policy (presence check,
   /// budget check, LRU insert). Shared by store() and the L2 re-admission

@@ -240,6 +240,8 @@ class FlowTemplate {
   /// anything: the depth of the deepest resident prefix snapshot. The
   /// federation uses it to measure how far a failed-over job fast-forwards
   /// on its new hub (cold L1, warm shared L2) before real work starts.
+  /// The tier is asked for each step's own blob only, so a chain missing
+  /// a lower link still counts as resident here.
   [[nodiscard]] std::size_t cached_prefix_depth(const rtl::Module& design,
                                                 const FlowConfig& config,
                                                 const FlowCache& cache) const;

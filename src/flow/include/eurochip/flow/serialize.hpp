@@ -1,32 +1,37 @@
 // Wire-format (de)serialization of flow artifacts — the exchange format
-// the federated second-level cache (fed::RemoteCache) stores snapshots in.
+// the federated second-level cache (fed::RemoteCache) stores in.
 //
 // Where FlowCache snapshots share in-memory artifacts, a federated hub
-// needs artifacts as bytes: serialize_snapshot() flattens a FlowContext's
-// artifacts + step records into a self-contained little-endian stream
+// needs artifacts as bytes. The L2 holds one blob per flow step, keyed by
+// that step's cache key: serialize_blob() encodes only what the step added
+// to its parent step's state (the artifacts it published and its step
+// record) plus the parent's key, as a little-endian stream
 // (util::WireWriter) with a magic/version header and a util::Digest
-// trailer over the payload; deserialize_snapshot() verifies the trailer,
-// publishes every artifact as a fresh shared_ptr<const T>, and points the
-// cross-references (mapped -> library, placed -> mapped, routed -> placed)
-// inside that set, the same shape a run's own FlowArtifacts have.
+// trailer over the payload. A step's full state is the chain of blobs from
+// a root (a blob without parent) to that step; Blob::open() verifies one
+// link and names its parent, and Blob::apply() decodes it on top of the
+// parent's rebuilt FlowArtifacts, publishing each new artifact as a fresh
+// shared_ptr<const T> whose cross-references (mapped -> library, placed ->
+// mapped, routed -> placed) point into that set.
 //
 // Determinism contract: serializing equal artifacts yields equal bytes,
 // and a deserialized artifact is indistinguishable from the original to
 // every downstream consumer — flow::digest_of() of a round-tripped
 // netlist/placement/routing equals the original's digest (serialize_test
-// enforces this per type). Corrupt or truncated input NEVER throws or
-// crashes: it surfaces as a non-OK Status, which the cache tier treats as
-// a miss.
+// enforces this per type and along whole chains). Corrupt or truncated
+// input NEVER throws or crashes: it surfaces as a non-OK Status, which the
+// cache tier treats as a miss.
 //
-// The per-type functions are exposed (rather than just the snapshot pair)
-// so tests can round-trip each artifact in isolation and so future remote
-// services can ship individual artifacts.
+// The per-type functions are exposed so tests can round-trip each artifact
+// in isolation.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "eurochip/flow/flow.hpp"
+#include "eurochip/util/digest.hpp"
 #include "eurochip/util/result.hpp"
 #include "eurochip/util/wire.hpp"
 
@@ -36,8 +41,9 @@ namespace eurochip::flow {
 /// change; readers reject unknown versions (a federation can then roll
 /// hubs forward without poisoning the shared cache).
 inline constexpr std::uint32_t kWireMagic = 0x53464345u;  // "ECFS" LE
-inline constexpr std::uint32_t kWireVersion =
-    3;  // v2: SoA netlist image; v3: routed geometry + dbg::SymbolTable
+// v2: SoA netlist image; v3: routed geometry + dbg::SymbolTable;
+// v4: one blob per step, holding only what the step added.
+inline constexpr std::uint32_t kWireVersion = 4;
 
 // --- per-artifact encoders ------------------------------------------------
 
@@ -93,17 +99,54 @@ void serialize(util::WireWriter& w, const dbg::SymbolTable& sym);
 [[nodiscard]] util::Result<dbg::SymbolTable> deserialize_symbols(
     util::WireReader& r);
 
-// --- whole-snapshot convenience (what RemoteCache stores) -----------------
+// --- per-step blobs (what RemoteCache stores) -----------------------------
 
-/// Flattens ctx.artifacts (except the borrowed `design` pointer) and
-/// ctx.steps into one self-verifying byte stream.
-[[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
-    const FlowContext& ctx);
+/// The state a blob is encoded against: the parent step's cache key, the
+/// artifacts stored under it and how many step records it holds.
+struct BlobParent {
+  util::Digest key;
+  const FlowArtifacts* artifacts = nullptr;
+  std::size_t steps = 0;
+};
 
-/// Verifies the digest trailer and header, then rebuilds artifacts +
-/// steps into `ctx` (ctx.artifacts.design is left untouched). On any
-/// error `ctx` may hold a partial restore and must be discarded.
-[[nodiscard]] util::Status deserialize_snapshot(
-    const std::vector<std::uint8_t>& bytes, FlowContext& ctx);
+/// Encodes what `artifacts`/`steps` add on top of `parent` as one
+/// self-verifying blob: each heap artifact whose pointer differs from the
+/// parent's, each value report (timing, power, drc, gds) whose bytes
+/// differ, and the step records past the parent's. Without a parent, or
+/// when the state cannot be expressed against it (an artifact went null,
+/// fewer step records), the blob is a root and carries the whole state.
+[[nodiscard]] std::vector<std::uint8_t> serialize_blob(
+    const FlowArtifacts& artifacts, const std::vector<StepRecord>& steps,
+    const BlobParent* parent = nullptr);
+
+/// A blob whose digest trailer, magic and version have been checked.
+class Blob {
+ public:
+  /// Verifies the trailer before reading a byte of the payload, so a
+  /// corrupt or truncated blob fails here with a Status.
+  [[nodiscard]] static util::Result<Blob> open(
+      std::vector<std::uint8_t> bytes);
+
+  /// The parent step's key; empty for a root blob.
+  [[nodiscard]] const std::optional<util::Digest>& parent() const {
+    return parent_;
+  }
+
+  /// Decodes this step's artifacts and step records on top of the parent's
+  /// rebuilt state in `artifacts`/`steps` (empty for a root). Slots the
+  /// blob does not carry stay shared with the parent, and new artifacts'
+  /// cross-references (mapped -> library, placed -> mapped, routed ->
+  /// placed) resolve into the resulting set. On error the outputs may hold
+  /// a partial state and must be discarded.
+  [[nodiscard]] util::Status apply(FlowArtifacts& artifacts,
+                                   std::vector<StepRecord>& steps) const;
+
+ private:
+  Blob() = default;
+
+  std::vector<std::uint8_t> bytes_;
+  std::optional<util::Digest> parent_;
+  std::size_t body_ = 0;  ///< payload offset of the presence mask
+};
 
 }  // namespace eurochip::flow

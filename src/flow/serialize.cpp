@@ -1,6 +1,8 @@
 #include "eurochip/flow/serialize.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -640,11 +642,17 @@ util::Result<drc::DrcReport> deserialize_drc(util::WireReader& r) {
   return d;
 }
 
+namespace {
+
+void write_step(util::WireWriter& w, const StepRecord& s) {
+  w.str(s.name).f64(s.runtime_ms).str(s.detail).boolean(s.cached);
+}
+
+}  // namespace
+
 void serialize(util::WireWriter& w, const std::vector<StepRecord>& steps) {
   w.size(steps.size());
-  for (const StepRecord& s : steps) {
-    w.str(s.name).f64(s.runtime_ms).str(s.detail).boolean(s.cached);
-  }
+  for (const StepRecord& s : steps) write_step(w, s);
 }
 
 util::Result<std::vector<StepRecord>> deserialize_steps(util::WireReader& r) {
@@ -781,116 +789,176 @@ util::Result<dbg::SymbolTable> deserialize_symbols(util::WireReader& r) {
   return sym;
 }
 
-// --- snapshot -------------------------------------------------------------
+// --- per-step blobs -------------------------------------------------------
 
-std::vector<std::uint8_t> serialize_snapshot(const FlowContext& ctx) {
-  util::WireWriter w;
-  w.u32(kWireMagic).u32(kWireVersion);
-  const FlowArtifacts& a = ctx.artifacts;
-  w.boolean(a.library != nullptr);
-  if (a.library) serialize(w, *a.library);
-  w.boolean(a.aig != nullptr);
-  if (a.aig) serialize(w, *a.aig);
-  w.boolean(a.mapped != nullptr);
-  if (a.mapped) serialize(w, *a.mapped);
-  w.boolean(a.placed != nullptr);
-  if (a.placed) serialize(w, *a.placed);
-  w.boolean(a.clock_tree != nullptr);
-  if (a.clock_tree) serialize(w, *a.clock_tree);
-  w.boolean(a.routed != nullptr);
-  if (a.routed) serialize(w, *a.routed);
-  w.boolean(a.symbols != nullptr);
-  if (a.symbols) serialize(w, *a.symbols);
-  serialize(w, a.timing);
-  serialize(w, a.power);
-  serialize(w, a.drc);
-  w.blob(a.gds_bytes);
-  serialize(w, ctx.steps);
+namespace {
 
-  std::vector<std::uint8_t> payload = w.take();
-  // Self-verification trailer: the transfer path (a remote cache, someday
-  // a real network) is the one place bytes can rot undetected.
-  util::Hasher h;
-  h.bytes(payload.data(), payload.size());
-  const util::Digest d = h.finalize();
-  util::WireWriter tail;
-  tail.u64(d.hi).u64(d.lo);
-  const std::vector<std::uint8_t>& tb = tail.buffer();
-  payload.insert(payload.end(), tb.begin(), tb.end());
-  return payload;
+/// One presence bit per artifact slot, in encoding order.
+constexpr std::uint32_t kLibrary = 1u << 0;
+constexpr std::uint32_t kAig = 1u << 1;
+constexpr std::uint32_t kMapped = 1u << 2;
+constexpr std::uint32_t kPlaced = 1u << 3;
+constexpr std::uint32_t kClockTree = 1u << 4;
+constexpr std::uint32_t kRouted = 1u << 5;
+constexpr std::uint32_t kSymbols = 1u << 6;
+constexpr std::uint32_t kTiming = 1u << 7;
+constexpr std::uint32_t kPower = 1u << 8;
+constexpr std::uint32_t kDrc = 1u << 9;
+constexpr std::uint32_t kGds = 1u << 10;
+constexpr std::uint32_t kAllSlots = (1u << 11) - 1;
+
+constexpr std::size_t kTrailerBytes = 16;
+
+template <typename T>
+std::uint32_t if_new(std::uint32_t bit, const std::shared_ptr<const T>& mine,
+                     const std::shared_ptr<const T>& parents) {
+  return mine && mine != parents ? bit : 0;
 }
 
-util::Status deserialize_snapshot(const std::vector<std::uint8_t>& bytes,
-                                  FlowContext& ctx) {
-  if (bytes.size() < 16 + 8 + 1) return bad("snapshot too short");
-  const std::size_t payload_size = bytes.size() - 16;
-  util::Hasher h;
-  h.bytes(bytes.data(), payload_size);
-  const util::Digest computed = h.finalize();
-  util::WireReader trailer(bytes.data() + payload_size, 16);
+/// Value reports are compared by their encoding, i.e. bit for bit.
+template <typename T>
+std::uint32_t if_new(std::uint32_t bit, const T& mine, const T& parents) {
+  util::WireWriter a;
+  util::WireWriter b;
+  serialize(a, mine);
+  serialize(b, parents);
+  return a.buffer() != b.buffer() ? bit : 0;
+}
+
+/// True when `a` lacks an artifact `parent` holds, which a blob of
+/// additions cannot express.
+bool drops_a_slot(const FlowArtifacts& a, const FlowArtifacts& parent) {
+  return (parent.library && !a.library) || (parent.aig && !a.aig) ||
+         (parent.mapped && !a.mapped) || (parent.placed && !a.placed) ||
+         (parent.clock_tree && !a.clock_tree) ||
+         (parent.routed && !a.routed) || (parent.symbols && !a.symbols);
+}
+
+/// Publishes a decoded artifact into its slot, or passes the error on.
+template <typename T>
+util::Status put(util::Result<T> decoded, std::shared_ptr<const T>& slot) {
+  if (!decoded.ok()) return decoded.status();
+  slot = std::make_shared<const T>(std::move(*decoded));
+  return util::Status::Ok();
+}
+
+template <typename T>
+util::Status put(util::Result<T> decoded, T& slot) {
+  if (!decoded.ok()) return decoded.status();
+  slot = std::move(*decoded);
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize_blob(const FlowArtifacts& a,
+                                         const std::vector<StepRecord>& steps,
+                                         const BlobParent* parent) {
+  if (parent != nullptr && (drops_a_slot(a, *parent->artifacts) ||
+                            steps.size() < parent->steps)) {
+    parent = nullptr;  // encode a root instead
+  }
+  // A root is encoded against the empty state.
+  const FlowArtifacts empty;
+  const FlowArtifacts& p = parent != nullptr ? *parent->artifacts : empty;
+  const std::size_t first_step = parent != nullptr ? parent->steps : 0;
+
+  util::WireWriter w;
+  w.u32(kWireMagic).u32(kWireVersion);
+  w.boolean(parent != nullptr);
+  if (parent != nullptr) w.u64(parent->key.hi).u64(parent->key.lo);
+  const std::uint32_t mask =
+      if_new(kLibrary, a.library, p.library) | if_new(kAig, a.aig, p.aig) |
+      if_new(kMapped, a.mapped, p.mapped) |
+      if_new(kPlaced, a.placed, p.placed) |
+      if_new(kClockTree, a.clock_tree, p.clock_tree) |
+      if_new(kRouted, a.routed, p.routed) |
+      if_new(kSymbols, a.symbols, p.symbols) |
+      if_new(kTiming, a.timing, p.timing) |
+      if_new(kPower, a.power, p.power) | if_new(kDrc, a.drc, p.drc) |
+      (a.gds_bytes != p.gds_bytes ? kGds : 0u);
+  w.u32(mask);
+  if (mask & kLibrary) serialize(w, *a.library);
+  if (mask & kAig) serialize(w, *a.aig);
+  if (mask & kMapped) serialize(w, *a.mapped);
+  if (mask & kPlaced) serialize(w, *a.placed);
+  if (mask & kClockTree) serialize(w, *a.clock_tree);
+  if (mask & kRouted) serialize(w, *a.routed);
+  if (mask & kSymbols) serialize(w, *a.symbols);
+  if (mask & kTiming) serialize(w, a.timing);
+  if (mask & kPower) serialize(w, a.power);
+  if (mask & kDrc) serialize(w, a.drc);
+  if (mask & kGds) w.blob(a.gds_bytes);
+  w.size(steps.size() - first_step);
+  for (std::size_t i = first_step; i < steps.size(); ++i) {
+    write_step(w, steps[i]);
+  }
+
+  // Self-verification trailer: the transfer path (a remote cache, someday
+  // a real network) is the one place bytes can rot undetected.
+  const util::Digest d = util::checksum(w.buffer().data(), w.buffer().size());
+  w.u64(d.hi).u64(d.lo);
+  return w.take();
+}
+
+util::Result<Blob> Blob::open(std::vector<std::uint8_t> bytes) {
+  if (bytes.size() < kTrailerBytes + 8 + 1 + 4) return bad("blob too short");
+  const std::size_t payload_size = bytes.size() - kTrailerBytes;
+  const util::Digest computed = util::checksum(bytes.data(), payload_size);
+  util::WireReader trailer(bytes.data() + payload_size, kTrailerBytes);
   const util::Digest stored{trailer.u64(), trailer.u64()};
-  if (!(computed == stored)) return bad("snapshot digest mismatch");
+  if (!(computed == stored)) return bad("blob checksum mismatch");
 
   util::WireReader r(bytes.data(), payload_size);
-  if (r.u32() != kWireMagic) return bad("bad snapshot magic");
-  if (r.u32() != kWireVersion) return bad("unsupported snapshot version");
-  FlowArtifacts& a = ctx.artifacts;
+  if (r.u32() != kWireMagic) return bad("bad blob magic");
+  if (r.u32() != kWireVersion) return bad("unsupported blob version");
+  Blob blob;
   if (r.boolean()) {
-    auto lib = deserialize_library(r);
-    if (!lib.ok()) return lib.status();
-    a.library =
-        std::make_shared<const netlist::CellLibrary>(std::move(*lib));
+    util::Digest parent;
+    parent.hi = r.u64();
+    parent.lo = r.u64();
+    blob.parent_ = parent;
   }
-  if (r.boolean()) {
-    auto aig = deserialize_aig(r);
-    if (!aig.ok()) return aig.status();
-    a.aig = std::make_shared<const synth::Aig>(std::move(*aig));
+  if (!r.ok()) return bad("truncated blob header");
+  blob.body_ = payload_size - r.remaining();
+  blob.bytes_ = std::move(bytes);
+  return blob;
+}
+
+util::Status Blob::apply(FlowArtifacts& a,
+                         std::vector<StepRecord>& steps) const {
+  util::WireReader r(bytes_.data() + body_,
+                     bytes_.size() - kTrailerBytes - body_);
+  const std::uint32_t mask = r.u32();
+  if (!r.ok() || (mask & ~kAllSlots) != 0) return bad("bad blob slot mask");
+  util::Status s;
+  const auto has = [&](std::uint32_t slot) {
+    return s.ok() && (mask & slot) != 0;
+  };
+  if (has(kLibrary)) s = put(deserialize_library(r), a.library);
+  if (has(kAig)) s = put(deserialize_aig(r), a.aig);
+  if (has(kMapped)) s = put(deserialize_netlist(r, a.library.get()), a.mapped);
+  if (has(kPlaced)) {
+    s = a.mapped ? put(deserialize_placed(r, a.mapped.get()), a.placed)
+                 : bad("placement without netlist");
   }
-  if (r.boolean()) {
-    auto nl = deserialize_netlist(r, a.library.get());
-    if (!nl.ok()) return nl.status();
-    a.mapped = std::make_shared<const netlist::Netlist>(std::move(*nl));
+  if (has(kClockTree)) s = put(deserialize_clock_tree(r), a.clock_tree);
+  if (has(kRouted)) {
+    s = a.placed ? put(deserialize_routed(r, a.placed.get()), a.routed)
+                 : bad("routing without placement");
   }
-  if (r.boolean()) {
-    if (!a.mapped) return bad("placement without netlist");
-    auto placed = deserialize_placed(r, a.mapped.get());
-    if (!placed.ok()) return placed.status();
-    a.placed =
-        std::make_shared<const place::PlacedDesign>(std::move(*placed));
-  }
-  if (r.boolean()) {
-    auto tree = deserialize_clock_tree(r);
-    if (!tree.ok()) return tree.status();
-    a.clock_tree =
-        std::make_shared<const cts::ClockTree>(std::move(*tree));
-  }
-  if (r.boolean()) {
-    if (!a.placed) return bad("routing without placement");
-    auto routed = deserialize_routed(r, a.placed.get());
-    if (!routed.ok()) return routed.status();
-    a.routed =
-        std::make_shared<const route::RoutedDesign>(std::move(*routed));
-  }
-  if (r.boolean()) {
-    auto sym = deserialize_symbols(r);
-    if (!sym.ok()) return sym.status();
-    a.symbols =
-        std::make_shared<const dbg::SymbolTable>(std::move(*sym));
-  }
-  auto timing = deserialize_timing(r);
-  if (!timing.ok()) return timing.status();
-  a.timing = std::move(*timing);
-  auto power = deserialize_power(r);
-  if (!power.ok()) return power.status();
-  a.power = std::move(*power);
-  auto drc = deserialize_drc(r);
-  if (!drc.ok()) return drc.status();
-  a.drc = std::move(*drc);
-  a.gds_bytes = r.blob();
-  auto steps = deserialize_steps(r);
-  if (!steps.ok()) return steps.status();
-  ctx.steps = std::move(*steps);
-  if (!r.ok()) return bad("truncated snapshot");
+  if (has(kSymbols)) s = put(deserialize_symbols(r), a.symbols);
+  if (has(kTiming)) s = put(deserialize_timing(r), a.timing);
+  if (has(kPower)) s = put(deserialize_power(r), a.power);
+  if (has(kDrc)) s = put(deserialize_drc(r), a.drc);
+  if (has(kGds)) a.gds_bytes = r.blob();
+  if (!s.ok()) return s;
+  auto added = deserialize_steps(r);
+  if (!added.ok()) return added.status();
+  steps.insert(steps.end(), std::make_move_iterator(added->begin()),
+               std::make_move_iterator(added->end()));
+  if (!r.ok()) return bad("truncated blob");
+  if (r.remaining() != 0) return bad("trailing bytes in blob");
   return util::Status::Ok();
 }
 

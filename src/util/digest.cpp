@@ -1,5 +1,7 @@
 #include "eurochip/util/digest.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -19,7 +21,35 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Little-endian 64-bit load of up to 8 bytes (the rest read as zero).
+std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
 }  // namespace
+
+Digest checksum(const void* data, std::size_t n) {
+  // Two lanes, one 64-bit word each per round. A round is a bijection of
+  // its lane for a fixed word, so a single changed word always changes
+  // that lane's result; the length seeds lane a.
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t a = mix64(n);
+  std::uint64_t b = 0x243F6A8885A308D3uLL;
+  const auto round = [&](std::uint64_t x, std::uint64_t y) {
+    a = std::rotl(a ^ x, 23) * 0x9E3779B97F4A7C15uLL;
+    b = std::rotl(b ^ y, 29) * kLanePrime;
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) round(load_le(p + i, 8), load_le(p + i + 8, 8));
+  const std::size_t rest = n - i;
+  round(load_le(p + i, std::min<std::size_t>(rest, 8)),
+        rest > 8 ? load_le(p + i + 8, rest - 8) : 0);
+  return Digest{mix64(a), mix64(b)};
+}
 
 std::string Digest::hex() const {
   static const char* kHex = "0123456789abcdef";

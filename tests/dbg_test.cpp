@@ -1,6 +1,6 @@
 // Design-debug provenance (eurochip::dbg): the SymbolTable recorded by the
-// reference flow, the query API ("where did my adder go?"), serialize v3
-// snapshot stability, cache-backed answers, and flight-record rendering.
+// reference flow, the query API ("where did my adder go?"), symbol tables
+// in serialized blobs, cache-backed answers, and flight-record rendering.
 //
 // The acceptance design is mul16 (rtl::designs::multiplier(16)): every RTL
 // port and named signal — a, b, p_q, p — must round-trip through where_is()
@@ -279,7 +279,7 @@ TEST(DbgConeTest, OutputConeReachesThePrimaryInputs) {
   }
 }
 
-// --- serialize v3 ----------------------------------------------------------
+// --- serialize (symbol tables since wire v3) ----------------------------
 
 template <typename T>
 std::vector<std::uint8_t> bytes_of(const T& value) {
@@ -301,14 +301,16 @@ TEST(DbgSerializeTest, SymbolTableRoundTripIsByteStable) {
   EXPECT_EQ(bytes_of(*back), bytes);  // re-encoding is the identity
 }
 
-TEST(DbgSerializeTest, SnapshotV3CarriesSymbolsAndStaysDigestStable) {
+TEST(DbgSerializeTest, BlobCarriesSymbolsAndStaysDigestStable) {
   const auto& b = baked();
-  const auto bytes = flow::serialize_snapshot(b.ctx);
+  const auto bytes = flow::serialize_blob(b.ctx.artifacts, b.ctx.steps);
 
   flow::FlowContext restored;
   restored.config = b.ctx.config;
   restored.artifacts.design = b.design.get();
-  const auto st = flow::deserialize_snapshot(bytes, restored);
+  auto blob = flow::Blob::open(bytes);
+  ASSERT_TRUE(blob.ok()) << blob.status().to_string();
+  const auto st = blob->apply(restored.artifacts, restored.steps);
   ASSERT_TRUE(st.ok()) << st.to_string();
 
   ASSERT_NE(restored.artifacts.symbols, nullptr);
@@ -319,7 +321,7 @@ TEST(DbgSerializeTest, SnapshotV3CarriesSymbolsAndStaysDigestStable) {
 
   // Digest-stable across save/load: re-serializing the restored context
   // yields the identical stream.
-  EXPECT_EQ(flow::serialize_snapshot(restored), bytes);
+  EXPECT_EQ(flow::serialize_blob(restored.artifacts, restored.steps), bytes);
 
   // The restored context answers queries like the live one.
   expect_where_is_round_trips(restored);

@@ -4,7 +4,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "eurochip/flow/cache.hpp"
@@ -41,6 +44,27 @@ TEST(DigestTest, HasherIsDeterministic) {
 TEST(DigestTest, HexSpellsHiThenLoMostSignificantNibbleFirst) {
   const util::Digest d{0x0123456789abcdefuLL, 0xfedcba9876543210uLL};
   EXPECT_EQ(d.hex(), "0123456789abcdeffedcba9876543210");
+}
+
+TEST(DigestTest, ChecksumCatchesEveryBitFlipAndTruncation) {
+  std::vector<std::uint8_t> bytes(70);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  // Lengths 0..70 cover whole 16-byte rounds and every tail length.
+  for (std::size_t n = 0; n <= bytes.size(); ++n) {
+    const util::Digest d = util::checksum(bytes.data(), n);
+    EXPECT_EQ(util::checksum(bytes.data(), n), d);
+    if (n > 0) EXPECT_FALSE(util::checksum(bytes.data(), n - 1) == d) << n;
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = bytes;
+        flipped[pos] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_FALSE(util::checksum(flipped.data(), n) == d)
+            << "n=" << n << " pos=" << pos << " bit=" << bit;
+      }
+    }
+  }
 }
 
 TEST(DigestTest, DifferentInputsDiffer) {
@@ -320,6 +344,243 @@ TEST(FlowCacheTest, SymbolRecordersLeaveSharedTableUntouched) {
   expect_snapshots_survive_reruns(m, a, {remap, rescan, reroute});
 }
 
+// --- second-level blob chains -----------------------------------------------
+//
+// With a second-level tier, each store publishes one blob holding what its
+// step added plus the parent step's key; an L1 miss rebuilds the state by
+// walking that chain. These tests run a publisher flow into an in-memory
+// tier and then restore from the tier alone into cold L1s.
+
+/// An in-memory CacheTier whose blobs a test can drop or damage. The tests
+/// using it are single-threaded.
+class MapTier : public flow::CacheTier {
+ public:
+  bool fetch(const util::Digest& key,
+             std::vector<std::uint8_t>* out) override {
+    ++fetches;
+    const auto it = blobs.find(key);
+    if (it == blobs.end()) return false;
+    *out = it->second;
+    return true;
+  }
+  void publish(const util::Digest& key,
+               std::vector<std::uint8_t> bytes) override {
+    blobs.emplace(key, std::move(bytes));  // first publish wins
+  }
+  [[nodiscard]] bool contains(const util::Digest& key) const override {
+    return blobs.count(key) > 0;
+  }
+
+  std::unordered_map<util::Digest, std::vector<std::uint8_t>,
+                     util::DigestHash>
+      blobs;
+  std::size_t fetches = 0;
+};
+
+flow::FlowCache::Options over(MapTier* tier) {
+  return flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                  .second_level = tier};
+}
+
+std::vector<util::Digest> reference_keys(const rtl::Module& m,
+                                         const flow::FlowConfig& cfg) {
+  std::vector<util::Digest> keys;
+  std::vector<bool> keyable;
+  flow::reference_template().step_keys(m, cfg, &keys, &keyable);
+  return keys;
+}
+
+/// Everything a restored run must share with a cache-less one: artifacts,
+/// reports, GDS, step names and PPA, bit for bit.
+void expect_same_result(const flow::FlowResult& got,
+                        const flow::FlowResult& want,
+                        const std::string& where) {
+  SCOPED_TRACE(where);
+  expect_same_artifacts(got.artifacts, want.artifacts, where);
+  const flow::FlowArtifacts& g = got.artifacts;
+  const flow::FlowArtifacts& w = want.artifacts;
+  ASSERT_EQ(g.library != nullptr, w.library != nullptr);
+  ASSERT_EQ(g.clock_tree != nullptr, w.clock_tree != nullptr);
+  if (w.library) EXPECT_EQ(wire_bytes(*g.library), wire_bytes(*w.library));
+  if (w.clock_tree) {
+    EXPECT_EQ(wire_bytes(*g.clock_tree), wire_bytes(*w.clock_tree));
+  }
+  EXPECT_EQ(wire_bytes(g.timing), wire_bytes(w.timing));
+  EXPECT_EQ(wire_bytes(g.power), wire_bytes(w.power));
+  EXPECT_EQ(wire_bytes(g.drc), wire_bytes(w.drc));
+  EXPECT_EQ(g.gds_bytes, w.gds_bytes);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t i = 0; i < got.steps.size(); ++i) {
+    EXPECT_EQ(got.steps[i].name, want.steps[i].name);
+    EXPECT_EQ(got.steps[i].detail, want.steps[i].detail);
+  }
+  EXPECT_EQ(got.ppa.cell_count, want.ppa.cell_count);
+  EXPECT_EQ(got.ppa.area_um2, want.ppa.area_um2);
+  EXPECT_EQ(got.ppa.die_area_mm2, want.ppa.die_area_mm2);
+  EXPECT_EQ(got.ppa.wns_ps, want.ppa.wns_ps);
+  EXPECT_EQ(got.ppa.fmax_mhz, want.ppa.fmax_mhz);
+  EXPECT_EQ(got.ppa.power_uw, want.ppa.power_uw);
+  EXPECT_EQ(got.ppa.leakage_uw, want.ppa.leakage_uw);
+  EXPECT_EQ(got.ppa.wirelength_dbu, want.ppa.wirelength_dbu);
+  EXPECT_EQ(got.ppa.drc_violations, want.ppa.drc_violations);
+  EXPECT_EQ(got.ppa.gds_bytes, want.ppa.gds_bytes);
+  EXPECT_EQ(got.ppa.clock_skew_ps, want.ppa.clock_skew_ps);
+  EXPECT_EQ(got.ppa.clock_buffers, want.ppa.clock_buffers);
+}
+
+TEST(FlowCacheChainTest, L2OnlyRestoresMatchColdRunsAtEveryDepth) {
+  const auto m = rtl::designs::counter(8);
+  const std::size_t n = flow::reference_template().steps().size();
+  for (const flow::FlowQuality quality :
+       {flow::FlowQuality::kOpen, flow::FlowQuality::kCommercial}) {
+    for (const bool scan : {false, true}) {
+      SCOPED_TRACE(std::string(flow::to_string(quality)) +
+                   (scan ? " +scan" : ""));
+      auto cfg = base_config();
+      cfg.quality = quality;
+      cfg.insert_scan = scan;
+      MapTier tier;
+      {
+        flow::FlowCache publisher(over(&tier));
+        auto pub = cfg;
+        pub.cache = &publisher;
+        ASSERT_TRUE(flow::run_reference_flow(m, pub).ok());
+      }
+      // One blob per step, under exactly the step keys.
+      ASSERT_EQ(tier.blobs.size(), n);
+      for (const util::Digest& key : reference_keys(m, cfg)) {
+        EXPECT_TRUE(tier.contains(key));
+      }
+      for (std::size_t k = 1; k <= n; ++k) {
+        const flow::FlowTemplate prefix = reference_prefix(k);
+        flow::FlowCache cold_l1(over(&tier));
+        auto warm_cfg = cfg;
+        warm_cfg.cache = &cold_l1;
+        tier.fetches = 0;
+        const auto warm = prefix.execute(m, warm_cfg);
+        ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+        ASSERT_EQ(warm->cache_hits, k);
+        EXPECT_EQ(cold_l1.stats().remote_hits, 1u);
+        EXPECT_EQ(tier.fetches, k) << "one fetch per link, root to tip";
+        auto plain = cfg;
+        plain.cache = nullptr;
+        const auto fresh = prefix.execute(m, plain);
+        ASSERT_TRUE(fresh.ok()) << fresh.status().to_string();
+        expect_same_result(*warm, *fresh,
+                           "restored after " + prefix.steps().back().name);
+      }
+    }
+  }
+}
+
+TEST(FlowCacheChainTest, EvictedMiddleLinkIsACleanMissAndRepublishes) {
+  const auto m = rtl::designs::counter(8);
+  const auto cfg = base_config();
+  const std::size_t n = flow::reference_template().steps().size();
+  MapTier tier;
+  flow::FlowCache publisher(over(&tier));
+  auto pub = cfg;
+  pub.cache = &publisher;
+  const auto first = flow::run_reference_flow(m, pub);
+  ASSERT_TRUE(first.ok());
+
+  const std::vector<util::Digest> keys = reference_keys(m, cfg);
+  const std::size_t middle = 5;  // place
+  ASSERT_EQ(flow::reference_template().steps()[middle].name, "place");
+  ASSERT_EQ(tier.blobs.erase(keys[middle]), 1u);
+
+  // Every deeper probe misses at the gap; the dft state still restores.
+  flow::FlowCache second_l1(over(&tier));
+  auto second_cfg = cfg;
+  second_cfg.cache = &second_l1;
+  const auto second = flow::run_reference_flow(m, second_cfg);
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_EQ(second->cache_hits, middle);
+  EXPECT_EQ(second_l1.stats().remote_errors, 0u);
+  EXPECT_EQ(second_l1.stats().remote_hits, 1u);
+  expect_same_result(*second, *first, "recomputed past the gap");
+  EXPECT_TRUE(tier.contains(keys[middle])) << "recomputed step republished";
+
+  // The mended chain serves the whole flow again.
+  flow::FlowCache third_l1(over(&tier));
+  auto third_cfg = cfg;
+  third_cfg.cache = &third_l1;
+  const auto third = flow::run_reference_flow(m, third_cfg);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->cache_hits, n);
+  expect_same_result(*third, *first, "restored over the mended chain");
+}
+
+TEST(FlowCacheChainTest, DamagedLinkIsARemoteErrorNeverAWrongArtifact) {
+  const auto m = rtl::designs::counter(8);
+  const auto cfg = base_config();
+  const std::size_t n = flow::reference_template().steps().size();
+  MapTier tier;
+  flow::FlowCache publisher(over(&tier));
+  auto pub = cfg;
+  pub.cache = &publisher;
+  const auto first = flow::run_reference_flow(m, pub);
+  ASSERT_TRUE(first.ok());
+  const std::vector<util::Digest> keys = reference_keys(m, cfg);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const bool truncate : {false, true}) {
+      SCOPED_TRACE("link " + std::to_string(i) +
+                   (truncate ? " truncated" : " flipped"));
+      MapTier damaged = tier;
+      std::vector<std::uint8_t>& blob = damaged.blobs.at(keys[i]);
+      if (truncate) {
+        blob.resize(blob.size() / 2);
+      } else {
+        blob[blob.size() / 2] ^= 0x5Au;
+      }
+      flow::FlowCache l1(over(&damaged));
+      auto run_cfg = cfg;
+      run_cfg.cache = &l1;
+      const auto r = flow::run_reference_flow(m, run_cfg);
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      // Each probe at or past the damaged link fails on it; the run
+      // resumes right before it.
+      EXPECT_EQ(l1.stats().remote_errors, n - i);
+      EXPECT_EQ(r->cache_hits, i);
+      expect_same_result(*r, *first, "run over a damaged chain");
+    }
+  }
+}
+
+TEST(FlowCacheChainTest, RestoreOverResidentAncestorSharesItsObjects) {
+  const auto m = rtl::designs::counter(8);
+  auto cfg = base_config();
+  const std::size_t n = flow::reference_template().steps().size();
+  MapTier tier;
+  {
+    flow::FlowCache publisher(over(&tier));
+    auto pub = cfg;
+    pub.cache = &publisher;
+    ASSERT_TRUE(flow::run_reference_flow(m, pub).ok());
+  }
+  flow::FlowCache l1(over(&tier));
+  cfg.cache = &l1;
+  const std::size_t head_steps = 4;  // library .. map
+  const auto head = reference_prefix(head_steps).execute(m, cfg);
+  ASSERT_TRUE(head.ok());
+  ASSERT_EQ(head->cache_hits, head_steps);
+
+  tier.fetches = 0;
+  const auto full = flow::run_reference_flow(m, cfg);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->cache_hits, n);
+  // Only the links above the resident map state crossed the tier...
+  EXPECT_EQ(tier.fetches, n - head_steps);
+  // ...and the rebuilt state shares that state's objects.
+  const flow::FlowArtifacts& a = full->artifacts;
+  EXPECT_EQ(a.library.get(), head->artifacts.library.get());
+  EXPECT_EQ(a.aig.get(), head->artifacts.aig.get());
+  EXPECT_EQ(a.mapped.get(), head->artifacts.mapped.get());
+  EXPECT_EQ(a.placed->netlist, a.mapped.get());
+  EXPECT_EQ(a.routed->placed, a.placed.get());
+}
+
 // --- direct cache mechanics ---------------------------------------------
 
 flow::FlowContext synthetic_ctx(std::size_t gds_kb) {
@@ -457,20 +718,33 @@ TEST(FlowCacheTest, ConcurrentRunsShareOneCache) {
   const auto m = rtl::designs::counter(6);
   auto cfg = base_config();
   cfg.cache = &cache;
+  const std::size_t n = flow::reference_template().steps().size();
 
-  std::vector<std::thread> threads;
-  std::vector<std::size_t> hits(8, 0);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      const auto r = flow::run_reference_flow(m, cfg);
-      if (r.ok()) hits[static_cast<std::size_t>(t)] = r->cache_hits + 1;
-    });
+  // Two waves of 8 concurrent runs. The first races cold stores against
+  // probes (how many of its runs hit depends on scheduling); every run of
+  // the second starts after the first has stored all of its snapshots, so
+  // it must restore the full prefix.
+  const auto wave = [&] {
+    std::vector<std::optional<util::Result<flow::FlowResult>>> out(8);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      threads.emplace_back(
+          [&, t] { out[t] = flow::run_reference_flow(m, cfg); });
+    }
+    for (auto& th : threads) th.join();
+    return out;
+  };
+  const auto first = wave();
+  const auto second = wave();
+  ASSERT_TRUE(first[0]->ok());
+  const util::Digest routed = flow::digest_of(*(*first[0])->artifacts.routed);
+  for (const auto* w : {&first, &second}) {
+    for (const auto& r : *w) {
+      ASSERT_TRUE(r->ok()) << r->status().to_string();
+      EXPECT_EQ(flow::digest_of(*(*r)->artifacts.routed), routed);
+    }
   }
-  for (auto& th : threads) th.join();
-  for (const auto h : hits) EXPECT_GT(h, 0u);  // all runs succeeded
-  // At least one run must have seen another's stores (with a single
-  // hardware thread the runs are effectively serialized, so all but the
-  // first hit the full prefix; under real parallelism weaker but nonzero).
+  for (const auto& r : second) EXPECT_EQ((*r)->cache_hits, n);
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
